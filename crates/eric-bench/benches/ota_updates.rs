@@ -16,7 +16,10 @@
 //!   changed-fraction share of the full frame
 //!   (`delta ≤ 1.2 × (changed/total) × full`);
 //! * the streaming peak working set is one segment — identical across
-//!   image sizes while the buffered baseline grows linearly.
+//!   image sizes while the buffered baseline grows linearly;
+//! * applying the one-changed-segment delta costs O(changed), not
+//!   O(image): the 512 KiB row's median `apply_ms` is ≤ 2× the 64 KiB
+//!   row's, though the image is 8× larger.
 
 use eric_bench::ota_updates;
 use eric_bench::output::{banner, smoke_mode, write_bench_json, write_json};
@@ -106,9 +109,26 @@ fn main() {
                 .all(|w| w[0].buffered_peak_bytes < w[1].buffered_peak_bytes),
             "buffered baseline should grow with the image"
         );
+        // Copy-on-write apply: the cost follows the one changed
+        // segment, not the image size.
+        let apply_ms = |kib: usize| {
+            report
+                .rows
+                .iter()
+                .find(|r| r.payload_bytes >> 10 == kib)
+                .unwrap_or_else(|| panic!("sweep includes a {kib} KiB image"))
+                .apply_ms
+        };
+        let (small, large) = (apply_ms(64), apply_ms(512));
+        assert!(
+            large <= 2.0 * small,
+            "one-segment apply is O(image): {large:.3} ms at 512 KiB vs \
+             {small:.3} ms at 64 KiB (floor: ≤ 2x)"
+        );
         println!(
             "\nOTA floors OK: delta ≤ 1.2x changed-fraction budget, \
-             streaming peak flat at {} B",
+             streaming peak flat at {} B, apply {large:.3} ms at 512 KiB \
+             vs {small:.3} ms at 64 KiB",
             report.rows[0].streaming_peak_bytes
         );
     }

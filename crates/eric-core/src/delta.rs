@@ -3,10 +3,11 @@
 //! A segmented (`ERIC2`) build already digests the payload per segment,
 //! so two prepared images can be diffed at segment granularity by
 //! comparing their plaintext leaf tables. The vendor frames only the
-//! changed segments in an **`ERIC2D`** delta frame; the device patches
-//! its installed plaintext, recomputes the Merkle root from its *cached
-//! sibling digests* plus the shipped replacement leaves, and accepts the
-//! update only after the patched image re-verifies end to end. For a
+//! changed segments in an **`ERIC2D`** delta frame; the device
+//! recomputes the Merkle root from its *cached sibling digests* plus the
+//! shipped replacement leaves, checks it against the signed root, and
+//! only then decrypts and verifies the shipped segments into a new
+//! image that shares every unchanged segment with the old one. For a
 //! fleet-wide 1%-of-segments fix this turns a full-image push into a
 //! frame a couple of orders of magnitude smaller.
 //!
@@ -43,29 +44,70 @@
 //! component uses. Disjointness is preserved, and a delta never reuses
 //! a full frame's keystream anyway — every frame draws a fresh nonce.
 //!
-//! # Fail-closed patching
+//! # Fail-closed, copy-on-write patching
 //!
-//! [`Device::apply_delta`](crate::Device::apply_delta) authenticates
-//! the reconstructed manifest *before* decrypting any payload byte,
-//! verifies each patched segment against its authenticated leaf, and
-//! finally re-hashes the **entire** patched image against the signed
-//! root. The installed image is borrowed immutably and a new
-//! [`InstalledImage`] is returned only on full success — there is no
-//! partially-patched state to observe, on any error path.
+//! [`Device::apply_delta`](crate::Device::apply_delta) checks, in
+//! order: geometry against the installed image (segment length, base
+//! size, every new segment shipped, every resized segment shipped),
+//! epoch, map coverage, the decrypted base fingerprint, and the Merkle
+//! root of the reconstructed leaf table (cached leaves of the kept
+//! segments plus the shipped leaves) against the signed root. Only then
+//! is any payload byte decrypted. The installed image is borrowed
+//! immutably, and a new [`InstalledImage`] is returned only on full
+//! success, so no error path leaves a partially-patched image behind.
+//!
+//! The patched image is built copy-on-write, at segment granularity.
+//! An [`InstalledImage`] holds each segment as an immutable byte range
+//! of a buffer shared through an `Arc`: an install's segments all view
+//! the one buffer the HDE decrypted and verified, and a shipped segment
+//! has a buffer of its own. Each kept segment is shared with the base
+//! by cloning its handle (whole blocks of 16 handles at a time where no
+//! segment of the block changed). Each shipped segment gets a fresh
+//! buffer, is decrypted there, and is hashed and constant-time compared
+//! against its authenticated leaf. The image also caches its whole
+//! Merkle tree, so the new root re-folds only the shipped leaves'
+//! ancestors. Patching therefore hashes O(changed bytes + changed·log
+//! segments), and copies only the O(segments) table of digests and
+//! handles, never the image.
+//!
+//! ## Why the kept segments need no re-hash
+//!
+//! A kept segment keeps its index, and the tail-geometry check makes it
+//! keep its length. So its bytes in the new image are exactly its bytes
+//! in the base. Those bytes sit behind an `Arc` that nothing writes
+//! through once it is shared, so no `&mut` path to them exists, and
+//! their cached leaf was computed from exactly those bytes when they
+//! were decrypted, by the HDE at install or by the apply that shipped
+//! them (the cached interior nodes likewise from those leaves).
+//! Re-hashing them would recompute a pure function of unchanged data:
+//! absent a memory fault it cannot disagree with the cached leaf, which
+//! the signed root has just vouched for. Without the tail-geometry
+//! check a kept ragged tail could change length (image growth or
+//! shrinkage) while its cached leaf stayed in the table, so a delta
+//! that resizes a segment without shipping it is refused with
+//! [`EricError::Package`].
+//!
+//! A memory fault in a stored segment is the one thing a full re-hash
+//! would catch, and it would catch it only when the next delta
+//! happened to arrive. [`InstalledImage::scrub`] keeps that check as an
+//! explicit O(image) sweep for background scrubbing.
 
 use crate::error::EricError;
-use crate::package::{map_wire_len, write_map, WireReader};
+use crate::package::{map_wire_len, write_map, Package, WireReader};
 use crate::source::{PreparedImage, SignaturePlan, SoftwareSource};
 use crate::PackagedFrame;
 use eric_crypto::cipher::CipherKind;
-use eric_crypto::sha256::{tree, Digest};
-use eric_hde::loader::SecureLoader;
-use eric_hde::manifest::signed_root;
+use eric_crypto::sha256::tree::{self, MerkleTree};
+use eric_crypto::sha256::Digest;
+use eric_hde::loader::{LoadedProgram, SecureLoader};
+use eric_hde::manifest::{bind_root, signed_root};
 use eric_hde::map::{CoverageMap, ParcelBitmap};
 use eric_hde::transform::{manifest_stream_offset, transform_region, transform_signature};
 use eric_hde::{FieldPolicy, HdeError};
 use eric_puf::crp::{Challenge, EnrollmentRecord};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wire magic for a delta frame: "ERIC2" + delta marker.
@@ -91,11 +133,17 @@ pub(crate) fn base_digest_stream_offset(payload_len: usize, leaf_count: usize) -
     manifest_stream_offset(payload_len) + 32 * leaf_count as u64
 }
 
+/// Byte length of segment `i` of a `payload_len`-byte image (the last
+/// segment may be ragged).
+fn segment_span(i: usize, payload_len: usize, segment_len: usize) -> usize {
+    segment_len.min(payload_len - i * segment_len)
+}
+
 /// Byte length of the changed-segment region for a given index set.
 fn changed_payload_bytes(changed: &[u32], payload_len: usize, segment_len: usize) -> usize {
     changed
         .iter()
-        .map(|&i| segment_len.min(payload_len - i as usize * segment_len))
+        .map(|&i| segment_span(i as usize, payload_len, segment_len))
         .sum()
 }
 
@@ -443,18 +491,32 @@ impl DeltaPackage {
 /// Produced by [`Device::install`](crate::Device::install) (full
 /// frame) or [`Device::apply_delta`](crate::Device::apply_delta)
 /// (patch); run with
-/// [`Device::run_installed`](crate::Device::run_installed). The cached
-/// leaf table is what lets the device verify a delta's Merkle root
+/// [`Device::run_installed`](crate::Device::run_installed). The
+/// plaintext is stored as immutable, shared segments, so a patched
+/// image shares every unchanged segment with its base and cloning an
+/// image copies no payload. A buffer lives as long as any segment
+/// viewing it, so an image and its patches together hold at most the
+/// install buffer plus the segments shipped since. Next to the segments
+/// sits their Merkle tree: the leaf digests, the interior nodes and the
+/// root (the fingerprint), all computed once when the image is built.
+/// The tree is what lets the device verify a delta's Merkle root
 /// without re-hashing the unchanged segments.
 #[derive(Clone)]
 pub struct InstalledImage {
-    pub(crate) payload: Vec<u8>,
+    /// The plaintext, segment by segment (the last may be ragged).
+    /// Never mutated once created: a patch replaces segments, it does
+    /// not write into them.
+    segments: SegmentTable,
+    payload_len: usize,
     pub(crate) text_len: usize,
     pub(crate) text_base: u64,
     pub(crate) data_base: u64,
     pub(crate) entry: u64,
-    pub(crate) segment_len: u32,
-    pub(crate) leaves: Vec<Digest>,
+    segment_len: u32,
+    /// Merkle tree over the segments: leaf `i` is the digest of
+    /// segment `i`, computed from those bytes when they were decrypted,
+    /// and the root is the fingerprint.
+    tree: MerkleTree,
 }
 
 impl fmt::Debug for InstalledImage {
@@ -462,25 +524,45 @@ impl fmt::Debug for InstalledImage {
         write!(
             f,
             "InstalledImage {{ {} bytes ({} text), {} segments of {} }}",
-            self.payload.len(),
+            self.payload_len,
             self.text_len,
-            self.leaves.len(),
+            self.segments(),
             self.segment_len
         )
     }
 }
 
 impl InstalledImage {
+    /// Keep a verified full-frame load: split its plaintext into shared
+    /// segments and fold the leaves the HDE verified them against into
+    /// the cached tree.
+    pub(crate) fn from_load(loaded: LoadedProgram, package: &Package, segment_len: u32) -> Self {
+        debug_assert_eq!(
+            loaded.leaves.len(),
+            loaded.plaintext.len().div_ceil(segment_len as usize)
+        );
+        InstalledImage {
+            payload_len: loaded.plaintext.len(),
+            segments: SegmentTable::split(loaded.plaintext, segment_len as usize),
+            text_len: loaded.text_len,
+            text_base: package.text_base,
+            data_base: package.data_base,
+            entry: package.entry,
+            segment_len,
+            tree: MerkleTree::new(&loaded.leaves),
+        }
+    }
+
     /// Merkle fingerprint of the installed plaintext: two devices hold
     /// the same image iff their fingerprints match, and a delta frame
     /// names the fingerprint it expects to patch.
     pub fn fingerprint(&self) -> Digest {
-        tree::merkle_root(&self.leaves)
+        self.tree.root()
     }
 
     /// Installed plaintext size in bytes.
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
+        self.payload_len
     }
 
     /// Text-section length in bytes (prefix of the payload).
@@ -490,7 +572,7 @@ impl InstalledImage {
 
     /// Number of cached segment digests.
     pub fn segments(&self) -> usize {
-        self.leaves.len()
+        self.tree.leaves().len()
     }
 
     /// Segment length the cached digests were computed at.
@@ -501,6 +583,124 @@ impl InstalledImage {
     /// Entry point of the installed program.
     pub fn entry(&self) -> u64 {
         self.entry
+    }
+
+    /// The plaintext segments, in payload order.
+    pub(crate) fn segment_bytes(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        self.segments.iter().map(Segment::bytes)
+    }
+
+    /// Re-hash every stored segment against its cached leaf, then
+    /// re-fold the cached Merkle tree from its leaves: an O(image)
+    /// integrity sweep for background scrubbing. Patching does not do
+    /// this (see the module docs for why it need not); a scrub is what
+    /// catches a memory fault in a segment that no delta has touched.
+    ///
+    /// # Errors
+    ///
+    /// [`EricError::Rejected`] with [`HdeError::SegmentMismatch`]
+    /// naming the first segment whose bytes no longer match its leaf,
+    /// or [`HdeError::SignatureMismatch`] when the cached tree no longer
+    /// folds from its leaves.
+    pub fn scrub(&self) -> Result<(), EricError> {
+        let leaves = self.tree.leaves();
+        for (i, (segment, leaf)) in self.segment_bytes().zip(leaves).enumerate() {
+            if !tree::leaf_digest(i as u64, segment).ct_eq(leaf) {
+                return Err(HdeError::SegmentMismatch { segment: i }.into());
+            }
+        }
+        let refolded = MerkleTree::new(leaves);
+        if refolded != self.tree {
+            return Err(HdeError::SignatureMismatch {
+                computed: refolded.root(),
+                shipped: self.tree.root(),
+            }
+            .into());
+        }
+        Ok(())
+    }
+
+    /// The whole plaintext, gathered into one buffer (test oracle: a
+    /// patched image must be byte-identical to a clean install).
+    #[cfg(any(test, feature = "testing"))]
+    pub fn plaintext(&self) -> Vec<u8> {
+        self.segment_bytes().flatten().copied().collect()
+    }
+
+    /// Replace segment `i` with a copy whose first byte is flipped,
+    /// leaving its cached leaf alone: a stored-segment memory fault.
+    #[cfg(test)]
+    pub(crate) fn corrupt_segment(&mut self, i: usize) {
+        let mut bytes = self.segments.get(i).bytes().to_vec();
+        bytes[0] ^= 1;
+        let block = &mut self.segments.blocks[i / BLOCK];
+        let mut handles = block.to_vec();
+        handles[i % BLOCK] = Segment::owned(bytes);
+        *block = handles.into();
+    }
+}
+
+/// One plaintext segment: a byte range of an immutable, shared
+/// buffer. The segments of an install all view the one buffer the HDE
+/// verified, so installing copies nothing; a shipped segment owns a
+/// buffer of its own. Nothing writes through an `Arc` once it is
+/// shared, so stored bytes have no `&mut` path.
+#[derive(Clone)]
+struct Segment {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Segment {
+    fn owned(bytes: Vec<u8>) -> Self {
+        Segment {
+            range: 0..bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+/// Segments per shared block of a [`SegmentTable`].
+const BLOCK: usize = 16;
+
+/// An image's segments, held as shared blocks of [`BLOCK`] segment
+/// handles. A patch shares each block it does not touch whole, so
+/// building the patched table, and later dropping the superseded one,
+/// touches one reference count per untouched block rather than one per
+/// segment.
+#[derive(Clone)]
+struct SegmentTable {
+    blocks: Vec<Arc<[Segment]>>,
+}
+
+impl SegmentTable {
+    /// View `plaintext` as `segment_len`-byte segments (the last may
+    /// be ragged) without copying it.
+    fn split(plaintext: Vec<u8>, segment_len: usize) -> Self {
+        let len = plaintext.len();
+        let buf = Arc::new(plaintext);
+        let segments: Vec<Segment> = (0..len)
+            .step_by(segment_len)
+            .map(|start| Segment {
+                buf: Arc::clone(&buf),
+                range: start..(start + segment_len).min(len),
+            })
+            .collect();
+        SegmentTable {
+            blocks: segments.chunks(BLOCK).map(Arc::from).collect(),
+        }
+    }
+
+    fn get(&self, i: usize) -> &Segment {
+        &self.blocks[i / BLOCK][i % BLOCK]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Segment> + Clone {
+        self.blocks.iter().flat_map(|block| block.iter())
     }
 }
 
@@ -725,13 +925,16 @@ impl SoftwareSource {
 /// half; [`Device::apply_delta`](crate::Device::apply_delta) is the
 /// public entry point).
 ///
-/// Validation runs strictly before mutation-visible work, in order:
-/// geometry against the installed image, epoch, index-table coverage,
-/// base fingerprint, then the Merkle root over the *reconstructed*
-/// full table (cached siblings + shipped diff). Only then is any
-/// payload byte decrypted, each patched segment re-checked against its
-/// authenticated leaf, and the whole patched image re-hashed against
-/// the signed root before a new [`InstalledImage`] is handed back.
+/// Validation runs strictly before any payload byte is decrypted, in
+/// order: geometry against the installed image (including the
+/// tail-geometry check: every segment whose length changes must be
+/// shipped), epoch, index-table coverage, base fingerprint, then the
+/// Merkle root over the *reconstructed* full table (cached siblings +
+/// shipped diff). The new [`InstalledImage`] then shares every kept
+/// segment with `installed` and holds a fresh buffer for each shipped
+/// one, decrypted and checked against its authenticated leaf. Kept
+/// segments are not re-hashed; the module docs give the argument, and
+/// [`InstalledImage::scrub`] is the explicit O(image) check.
 pub(crate) fn apply(
     loader: &SecureLoader,
     installed: &InstalledImage,
@@ -746,11 +949,10 @@ pub(crate) fn apply(
             delta.segment_len, installed.segment_len
         )));
     }
-    if delta.base_payload_len as usize != installed.payload.len() {
+    if delta.base_payload_len as usize != installed.payload_len {
         return Err(EricError::Package(format!(
             "delta expects a {}-byte base image but {} bytes are installed",
-            delta.base_payload_len,
-            installed.payload.len()
+            delta.base_payload_len, installed.payload_len
         )));
     }
     let device_epoch = loader.keys().epoch();
@@ -777,10 +979,20 @@ pub(crate) fn apply(
     // Every segment past the installed table is new content and must
     // be shipped — the cache has no digest to stand in for it.
     let new_count = payload_len.div_ceil(segment_len);
-    for i in installed.leaves.len()..new_count {
-        if delta.changed.binary_search(&(i as u32)).is_err() {
-            return Err(EricError::Package(format!("delta omits new segment {i}")));
-        }
+    let old_count = installed.segments();
+    let shipped = |i: usize| delta.changed.binary_search(&(i as u32)).is_ok();
+    if let Some(i) = (old_count..new_count).find(|&i| !shipped(i)) {
+        return Err(EricError::Package(format!("delta omits new segment {i}")));
+    }
+    // A kept segment is reused as stored, so it must keep its length:
+    // a ragged tail that grows or shrinks has to be shipped.
+    if let Some(i) = (0..old_count.min(new_count)).find(|&i| {
+        installed.segments.get(i).range.len() != segment_span(i, payload_len, segment_len)
+            && !shipped(i)
+    }) {
+        return Err(EricError::Package(format!(
+            "delta resizes segment {i} without shipping it"
+        )));
     }
 
     let challenge = Challenge::from_bytes(&delta.challenge);
@@ -804,27 +1016,40 @@ pub(crate) fn apply(
         ));
     }
 
-    // Reconstruct the full new leaf table from cached siblings plus
-    // the shipped replacements, and authenticate it as a whole before
+    // Reconstruct the full new tree from cached siblings plus the
+    // shipped replacement leaves, and authenticate it as a whole before
     // any payload byte is decrypted.
     let mut root = delta.encrypted_root;
     transform_signature(&mut root, payload_len, cipher.as_ref());
     let shipped_root = Digest::from_bytes(root);
     let manifest_at = manifest_stream_offset(payload_len);
-    let mut table = Vec::with_capacity(new_count);
-    let mut next = 0usize;
-    for i in 0..new_count {
-        if next < delta.changed.len() && delta.changed[next] as usize == i {
-            let mut leaf = delta.changed_leaves[next];
-            cipher.apply(manifest_at + 32 * i as u64, &mut leaf);
-            table.push(Digest::from_bytes(leaf));
-            next += 1;
-        } else {
-            table.push(installed.leaves[i]);
+    let shipped_leaves: Vec<(usize, Digest)> = delta
+        .changed
+        .iter()
+        .zip(&delta.changed_leaves)
+        .map(|(&i, &leaf)| {
+            let mut leaf = leaf;
+            cipher.apply(manifest_at + 32 * u64::from(i), &mut leaf);
+            (i as usize, Digest::from_bytes(leaf))
+        })
+        .collect();
+    let tree = if new_count == old_count {
+        // Same shape: re-fold only the shipped leaves' ancestors.
+        let mut tree = installed.tree.clone();
+        tree.replace(&shipped_leaves);
+        tree
+    } else {
+        // Growth or shrinkage reshapes the tree: fold it afresh. Every
+        // index past the old table is shipped (checked above), so the
+        // zero fill below is always overwritten.
+        let mut leaves = installed.tree.leaves().to_vec();
+        leaves.resize(new_count, Digest::from_bytes([0; 32]));
+        for &(i, leaf) in &shipped_leaves {
+            leaves[i] = leaf;
         }
-    }
-    let aad = delta.aad();
-    let computed = signed_root(&aad, delta.segment_len, &table);
+        MerkleTree::new(&leaves)
+    };
+    let computed = bind_root(&delta.aad(), delta.segment_len, new_count, &tree.root());
     if !computed.ct_eq(&shipped_root) {
         return Err(HdeError::SignatureMismatch {
             computed,
@@ -833,53 +1058,58 @@ pub(crate) fn apply(
         .into());
     }
 
-    // Patch into a fresh buffer: the installed image is never touched,
-    // so no error path can leave a partially-patched image behind.
-    let mut payload = installed.payload.clone();
-    payload.resize(payload_len, 0);
+    // Copy-on-write: kept segments are shared with the installed image
+    // (never touched, so no error path leaves a partial patch behind),
+    // whole blocks of them where no segment of the block changed; each
+    // shipped segment is decrypted into a buffer of its own and checked
+    // against its authenticated leaf.
+    let mut blocks = Vec::with_capacity(new_count.div_ceil(BLOCK));
+    let mut changed = delta.changed.iter().map(|&i| i as usize).peekable();
     let mut cursor = 0usize;
-    for &i in &delta.changed {
-        let i = i as usize;
-        let start = i * segment_len;
-        let len = segment_len.min(payload_len - start);
-        let segment = &mut payload[start..start + len];
-        segment.copy_from_slice(&delta.segments[cursor..cursor + len]);
-        cursor += len;
-        transform_region(
-            segment,
-            start,
-            &delta.map,
-            delta.policy,
-            text_len,
-            cipher.as_ref(),
-        );
-        if !tree::leaf_digest(i as u64, segment).ct_eq(&table[i]) {
-            return Err(HdeError::SegmentMismatch { segment: i }.into());
+    for b in 0..new_count.div_ceil(BLOCK) {
+        let range = b * BLOCK..(b * BLOCK + BLOCK).min(new_count);
+        let old = installed.segments.blocks.get(b);
+        if let Some(old) = old.filter(|old| old.len() == range.len()) {
+            if changed.peek().is_none_or(|&i| i >= range.end) {
+                blocks.push(Arc::clone(old));
+                continue;
+            }
         }
-    }
-
-    // End-to-end re-verification: hash the ENTIRE patched image (not
-    // just the diff) against the signed root, exactly as a full-frame
-    // load would. A stale cache entry for an "unchanged" segment is
-    // caught here rather than silently trusted.
-    let leaves = tree::leaf_digests_batch(0, &payload, segment_len);
-    let full = signed_root(&aad, delta.segment_len, &leaves);
-    if !full.ct_eq(&shipped_root) {
-        return Err(HdeError::SignatureMismatch {
-            computed: full,
-            shipped: shipped_root,
+        let mut block = Vec::with_capacity(range.len());
+        for i in range {
+            if changed.next_if_eq(&i).is_none() {
+                block.push(installed.segments.get(i).clone());
+                continue;
+            }
+            let start = i * segment_len;
+            let len = segment_span(i, payload_len, segment_len);
+            let mut bytes = delta.segments[cursor..cursor + len].to_vec();
+            cursor += len;
+            transform_region(
+                &mut bytes,
+                start,
+                &delta.map,
+                delta.policy,
+                text_len,
+                cipher.as_ref(),
+            );
+            if !tree::leaf_digest(i as u64, &bytes).ct_eq(&tree.leaves()[i]) {
+                return Err(HdeError::SegmentMismatch { segment: i }.into());
+            }
+            block.push(Segment::owned(bytes));
         }
-        .into());
+        blocks.push(block.into());
     }
 
     Ok(InstalledImage {
-        payload,
+        segments: SegmentTable { blocks },
+        payload_len,
         text_len,
         text_base: delta.text_base,
         data_base: delta.data_base,
         entry: delta.entry,
         segment_len: delta.segment_len,
-        leaves,
+        tree,
     })
 }
 
@@ -921,7 +1151,7 @@ mod tests {
         let full = src.package_prepared(&next, &cred).unwrap().0;
         let clean = device.install(&full).unwrap();
         assert_eq!(patched.fingerprint(), clean.fingerprint());
-        assert_eq!(patched.payload, clean.payload);
+        assert_eq!(patched.plaintext(), clean.plaintext());
     }
 
     #[test]
@@ -1134,7 +1364,134 @@ mod tests {
             .unwrap();
         let frame = src.package_delta(&delta, &cred).unwrap();
         let patched = device.apply_delta(&installed, &frame).unwrap();
-        assert_eq!(patched.payload, target.payload);
+        assert_eq!(patched.plaintext(), target.payload);
+    }
+
+    /// A program whose payload is 12 bytes of text followed by `data`.
+    fn with_data(data: &[u8]) -> String {
+        let bytes: Vec<String> = data.iter().map(u8::to_string).collect();
+        format!(
+            ".data\nbuf: .byte {}\n.text\nmain:\n li a0, 42\n li a7, 93\n ecall\n",
+            bytes.join(", ")
+        )
+    }
+
+    /// Install `base`, patch it to `target`, and check the patch: it
+    /// scrubs clean, is byte-identical to a clean install of `target`,
+    /// and shares every segment it did not ship with the base.
+    fn patch(seed: u64, base: &str, target: &str) -> (InstalledImage, InstalledImage) {
+        let mut device = Device::with_seed(seed, "node");
+        let cred = device.enroll();
+        let src = SoftwareSource::new("vendor");
+        let cfg = EncryptionConfig::full().with_segments(8);
+        let (base, target) = (prepared(&src, base, &cfg), prepared(&src, target, &cfg));
+        let installed = device
+            .install(&src.package_prepared(&base, &cred).unwrap().0)
+            .unwrap();
+        let delta = src.prepare_delta(&base, &target).unwrap();
+        let frame = src.package_delta(&delta, &cred).unwrap();
+        let patched = device.apply_delta(&installed, &frame).unwrap();
+        patched.scrub().unwrap();
+        let clean = device
+            .install(&src.package_prepared(&target, &cred).unwrap().0)
+            .unwrap();
+        assert_eq!(patched.plaintext(), clean.plaintext());
+        assert_eq!(patched.plaintext(), target.payload);
+        assert_eq!(patched.fingerprint(), clean.fingerprint());
+        assert_eq!(patched.tree, clean.tree);
+        for (i, segment) in patched.segments.iter().enumerate() {
+            let kept = delta.changed.binary_search(&(i as u32)).is_err();
+            let shared = i < installed.segments() && {
+                let old = installed.segments.get(i);
+                Arc::ptr_eq(&old.buf, &segment.buf) && old.range == segment.range
+            };
+            assert_eq!(kept, shared, "segment {i}: kept {kept}, shared {shared}");
+        }
+        // A block with no shipped segment, spanning the same segments
+        // as before, is shared whole.
+        for (b, block) in patched.segments.blocks.iter().enumerate() {
+            let untouched = delta.changed.iter().all(|&i| i as usize / BLOCK != b);
+            let old = installed.segments.blocks.get(b);
+            let reusable = untouched && old.is_some_and(|old| old.len() == block.len());
+            let shared = old.is_some_and(|old| Arc::ptr_eq(old, block));
+            assert_eq!(reusable, shared, "block {b}");
+        }
+        assert_eq!(device.run_installed(&patched).unwrap().exit_code, 42);
+        (installed, patched)
+    }
+
+    #[test]
+    fn copy_on_write_patches_match_a_clean_install() {
+        let data = |len: usize, mark: u8| {
+            let mut d = vec![7u8; len];
+            d[len / 2] = mark;
+            d
+        };
+        // 12 text bytes + data, in 8-byte segments.
+        let cases = [
+            ("identical", data(60, 1), data(60, 1)),
+            ("sparse", data(300, 1), data(300, 2)),
+            ("growth", data(10, 1), data(30, 1)),
+            ("shrink", data(30, 1), data(10, 1)),
+            ("growth past a block", data(200, 1), data(300, 1)),
+            ("shrink past a block", data(300, 1), data(200, 1)),
+            ("ragged tail", data(10, 1), data(11, 1)),
+            ("tail to exact", data(10, 1), data(12, 1)),
+        ];
+        for (seed, (name, base, target)) in cases.iter().enumerate() {
+            let (installed, patched) =
+                patch(20 + seed as u64, &with_data(base), &with_data(target));
+            assert_eq!(patched.payload_len(), 12 + target.len(), "{name}");
+            installed.scrub().unwrap();
+        }
+    }
+
+    #[test]
+    fn scrub_names_a_corrupted_segment() {
+        let (_, mut patched) = patch(30, &with_data(&[1; 40]), &with_data(&[2; 40]));
+        patched.scrub().unwrap();
+        patched.corrupt_segment(3);
+        let err = patched.scrub().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EricError::Rejected(HdeError::SegmentMismatch { segment: 3 })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_delta_that_resizes_a_kept_segment_is_rejected() {
+        let src = SoftwareSource::new("vendor");
+        let cfg = EncryptionConfig::full().with_segments(8);
+        let mut device = Device::with_seed(31, "node");
+        let cred = device.enroll();
+        // Growth (a 6-byte tail becomes full), shrinkage (a full segment
+        // becomes a 6-byte tail) and a same-count ragged resize.
+        for (base, target, tail) in [(10, 30, 2), (30, 10, 2), (10, 11, 2)] {
+            let base = prepared(&src, &with_data(&vec![1; base]), &cfg);
+            let target = prepared(&src, &with_data(&vec![1; target]), &cfg);
+            let installed = device
+                .install(&src.package_prepared(&base, &cred).unwrap().0)
+                .unwrap();
+            let mut frame = src
+                .package_delta(&src.prepare_delta(&base, &target).unwrap(), &cred)
+                .unwrap();
+            // Forge the changed set: drop the resized segment, its leaf
+            // and its bytes.
+            let k = frame.changed.binary_search(&tail).unwrap();
+            let at = k * 8;
+            let len = segment_span(tail as usize, frame.payload_len as usize, 8);
+            frame.changed.remove(k);
+            frame.changed_leaves.remove(k);
+            frame.segments.drain(at..at + len);
+            let err = device.apply_delta(&installed, &frame).unwrap_err();
+            assert!(
+                matches!(&err, EricError::Package(m) if m.contains("resizes segment 2")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::delta::{DeltaPackage, InstalledImage};
 use crate::error::EricError;
 use crate::package::Package;
 use eric_asm::Image;
-use eric_crypto::sha256::tree;
 use eric_hde::loader::{SecureInput, SecureLoader};
 use eric_hde::manifest::SignatureBlock;
 use eric_hde::timing::HdeCycles;
@@ -246,16 +245,7 @@ impl Device {
             nonce: package.nonce,
         };
         let loaded = self.loader.process(&input)?;
-        let leaves = tree::leaf_digests_batch(0, &loaded.plaintext, segment_len as usize);
-        Ok(InstalledImage {
-            payload: loaded.plaintext,
-            text_len: loaded.text_len,
-            text_base: package.text_base,
-            data_base: package.data_base,
-            entry: package.entry,
-            segment_len,
-            leaves,
-        })
+        Ok(InstalledImage::from_load(loaded, package, segment_len))
     }
 
     /// Apply a delta frame to an installed image, producing the patched
@@ -263,17 +253,20 @@ impl Device {
     /// no partially-patched state on any path.
     ///
     /// The device recomputes the Merkle root from its cached sibling
-    /// digests plus the shipped replacement leaves, authenticates it
+    /// digests plus the shipped replacement leaves and authenticates it
     /// against the frame's AAD-bound signed root before decrypting any
-    /// payload, then re-verifies the entire patched image end to end.
+    /// payload. The patched image shares every kept segment with
+    /// `installed` and decrypts and verifies only the shipped ones, so
+    /// the cost follows the size of the change, not of the image; see
+    /// [`InstalledImage::scrub`] for the O(image) integrity sweep.
     ///
     /// # Errors
     ///
     /// [`EricError::Package`] for geometry/base mismatches (wrong
     /// segment length, wrong base size, wrong base fingerprint, or a
-    /// delta that omits a brand-new segment); [`EricError::Rejected`]
-    /// for authentication failures (wrong epoch, wrong device, any
-    /// tampering).
+    /// delta that omits a brand-new or resized segment);
+    /// [`EricError::Rejected`] for authentication failures (wrong
+    /// epoch, wrong device, any tampering).
     pub fn apply_delta(
         &self,
         installed: &InstalledImage,
@@ -291,11 +284,15 @@ impl Device {
     ///
     /// [`EricError::Runtime`] for SoC faults.
     pub fn run_installed(&mut self, image: &InstalledImage) -> Result<ExecutionReport, EricError> {
-        let (text, data) = image.payload.split_at(image.text_len);
-        self.soc
-            .load_raw(image.text_base, text, image.data_base, data, image.entry)?;
+        self.soc.load_pieces(
+            image.text_base,
+            image.data_base,
+            image.text_len,
+            image.segment_bytes(),
+            image.entry,
+        )?;
         let run = self.soc.run(self.fuel)?;
-        let load_cycles = self.loader.timing().plain_load_cycles(image.payload.len());
+        let load_cycles = self.loader.timing().plain_load_cycles(image.payload_len());
         Ok(ExecutionReport {
             exit_code: run.exit_code,
             load_cycles,

@@ -649,21 +649,103 @@ pub mod tree {
     /// assert_eq!(merkle_root(&leaves), node_digest(&leaves[0], &leaves[1]));
     /// ```
     pub fn merkle_root(leaves: &[Digest]) -> Digest {
-        if leaves.is_empty() {
-            return leaf_digest(0, &[]);
+        MerkleTree::new(leaves).root()
+    }
+
+    /// A Merkle tree that keeps every level, so replacing `k` of its
+    /// `n` leaves re-folds only their `O(k·log n)` ancestors instead of
+    /// all `n − 1` interior nodes. Its root is [`merkle_root`] of its
+    /// leaves.
+    ///
+    /// ```rust
+    /// use eric_crypto::sha256::tree::{leaf_digest, merkle_root, MerkleTree};
+    /// let mut leaves: Vec<_> = (0..5).map(|i| leaf_digest(i, b"seg")).collect();
+    /// let mut tree = MerkleTree::new(&leaves);
+    /// assert_eq!(tree.root(), merkle_root(&leaves));
+    /// leaves[3] = leaf_digest(3, b"new");
+    /// tree.replace(&[(3, leaves[3])]);
+    /// assert_eq!(tree.root(), merkle_root(&leaves));
+    /// ```
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct MerkleTree {
+        /// Leaf count.
+        leaves: usize,
+        /// The levels, leaves first and the root last, back to back:
+        /// a level of `len` nodes is followed by `⌈len/2⌉` parents.
+        nodes: Vec<Digest>,
+    }
+
+    impl MerkleTree {
+        /// Fold `leaves` into a tree.
+        pub fn new(leaves: &[Digest]) -> Self {
+            let mut nodes = Vec::with_capacity(2 * leaves.len());
+            nodes.extend_from_slice(leaves);
+            let (mut start, mut len) = (0, leaves.len());
+            while len > 1 {
+                for i in (start..start + len - 1).step_by(2) {
+                    let parent = node_digest(&nodes[i], &nodes[i + 1]);
+                    nodes.push(parent);
+                }
+                if len % 2 == 1 {
+                    // The odd node at the end of a level is promoted.
+                    nodes.push(nodes[start + len - 1]);
+                }
+                start += len;
+                len = len.div_ceil(2);
+            }
+            MerkleTree {
+                leaves: leaves.len(),
+                nodes,
+            }
         }
-        let mut level = leaves.to_vec();
-        while level.len() > 1 {
-            level = level
-                .chunks(2)
-                .map(|pair| match pair {
-                    [l, r] => node_digest(l, r),
-                    [odd] => *odd,
-                    _ => unreachable!("chunks(2) yields 1..=2 digests"),
-                })
-                .collect();
+
+        /// The Merkle root (an empty tree's is the leaf digest of the
+        /// empty segment at index 0, as for [`merkle_root`]).
+        pub fn root(&self) -> Digest {
+            self.nodes
+                .last()
+                .copied()
+                .unwrap_or_else(|| leaf_digest(0, &[]))
         }
-        level[0]
+
+        /// The leaf digests, in order.
+        pub fn leaves(&self) -> &[Digest] {
+            &self.nodes[..self.leaves]
+        }
+
+        /// Replace leaves, given as `(index, digest)` in strictly
+        /// ascending index order, and re-fold only their ancestors.
+        ///
+        /// # Panics
+        ///
+        /// Panics if an index is out of range.
+        pub fn replace(&mut self, changes: &[(usize, Digest)]) {
+            debug_assert!(changes.windows(2).all(|w| w[0].0 < w[1].0));
+            let mut dirty = Vec::with_capacity(changes.len());
+            for &(i, leaf) in changes {
+                assert!(i < self.leaves, "leaf {i} out of range");
+                self.nodes[i] = leaf;
+                dirty.push(i);
+            }
+            let (mut start, mut len) = (0, self.leaves);
+            while len > 1 {
+                let parents = start + len;
+                // Ascending children give ascending parents, so
+                // siblings collapse to one entry.
+                dirty.iter_mut().for_each(|i| *i /= 2);
+                dirty.dedup();
+                for &p in &dirty {
+                    let left = start + 2 * p;
+                    self.nodes[parents + p] = if 2 * p + 1 < len {
+                        node_digest(&self.nodes[left], &self.nodes[left + 1])
+                    } else {
+                        self.nodes[left]
+                    };
+                }
+                start = parents;
+                len = len.div_ceil(2);
+            }
+        }
     }
 
     #[cfg(test)]
@@ -715,6 +797,37 @@ pub mod tree {
             let a = leaf_digest(0, b"a");
             let b = leaf_digest(1, b"b");
             assert_ne!(merkle_root(&[a, b]), merkle_root(&[b, a]));
+        }
+
+        #[test]
+        fn replacing_leaves_matches_a_fresh_fold() {
+            for n in [1usize, 2, 3, 5, 8, 13, 64, 129] {
+                let mut leaves: Vec<Digest> =
+                    (0..n).map(|i| leaf_digest(i as u64, b"seg")).collect();
+                let mut tree = MerkleTree::new(&leaves);
+                assert_eq!(tree.leaves(), &leaves[..]);
+                // Single leaves at both ends and the middle, then a
+                // sibling pair and a scattered set.
+                let sets: [Vec<usize>; 5] = [
+                    vec![0],
+                    vec![n - 1],
+                    vec![n / 2],
+                    (n / 2..(n / 2 + 2).min(n)).collect(),
+                    (0..n).step_by(3).collect(),
+                ];
+                for (round, set) in sets.iter().enumerate() {
+                    let changes: Vec<(usize, Digest)> = set
+                        .iter()
+                        .map(|&i| (i, leaf_digest(i as u64, &[round as u8; 3])))
+                        .collect();
+                    for &(i, d) in &changes {
+                        leaves[i] = d;
+                    }
+                    tree.replace(&changes);
+                    assert_eq!(tree, MerkleTree::new(&leaves), "n = {n}, {set:?}");
+                    assert_eq!(tree.root(), merkle_root(&leaves));
+                }
+            }
         }
 
         #[test]

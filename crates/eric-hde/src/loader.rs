@@ -86,6 +86,10 @@ pub struct LoadedProgram {
     pub text_len: usize,
     /// Cycles the HDE spent.
     pub cycles: HdeCycles,
+    /// Leaf digests of the plaintext segments, as verified against the
+    /// signed manifest (segmented loads; empty for a v1 load, which has
+    /// no segments).
+    pub leaves: Vec<Digest>,
 }
 
 impl fmt::Debug for LoadedProgram {
@@ -290,6 +294,7 @@ impl SecureLoader {
             plaintext,
             text_len: input.text_len,
             cycles,
+            leaves: Vec::new(),
         })
     }
 
@@ -367,6 +372,7 @@ impl SecureLoader {
             plaintext,
             text_len: input.text_len,
             cycles,
+            leaves: computed,
         })
     }
 

@@ -148,13 +148,20 @@ impl SignatureBlock {
 /// compute exactly this function — they share this one implementation,
 /// so the two sides cannot drift.
 pub fn signed_root(aad: &[u8], segment_len: u32, leaves: &[Digest]) -> Digest {
+    bind_root(aad, segment_len, leaves.len(), &tree::merkle_root(leaves))
+}
+
+/// [`signed_root`] for a caller that already holds the Merkle root of
+/// its `leaf_count` leaves (a delta apply keeps that root as the new
+/// image's fingerprint, so it folds the table only once).
+pub fn bind_root(aad: &[u8], segment_len: u32, leaf_count: usize, merkle_root: &Digest) -> Digest {
     let mut h = Sha256::new();
     h.update(&[tree::BIND_TAG]);
     h.update(&(aad.len() as u64).to_le_bytes());
     h.update(aad);
     h.update(&segment_len.to_le_bytes());
-    h.update(&(leaves.len() as u64).to_le_bytes());
-    h.update(tree::merkle_root(leaves).as_bytes());
+    h.update(&(leaf_count as u64).to_le_bytes());
+    h.update(merkle_root.as_bytes());
     h.finalize()
 }
 

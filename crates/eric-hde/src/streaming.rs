@@ -118,13 +118,14 @@ impl<'l> StreamingLoader<'l> {
     /// authentication.
     pub fn process<R: Read>(&self, source: R) -> Result<LoadedProgram, HdeError> {
         let mut plaintext = Vec::new();
-        let report = self.process_with(source, |_, segment: &[u8]| {
+        let (report, leaves) = self.verify(source, |_, segment: &[u8]| {
             plaintext.extend_from_slice(segment);
         })?;
         Ok(LoadedProgram {
             plaintext,
             text_len: report.text_len,
             cycles: report.cycles,
+            leaves,
         })
     }
 
@@ -145,9 +146,19 @@ impl<'l> StreamingLoader<'l> {
     /// See [`StreamingLoader::process`].
     pub fn process_with<R: Read, F: FnMut(usize, &[u8])>(
         &self,
+        source: R,
+        sink: F,
+    ) -> Result<StreamReport, HdeError> {
+        self.verify(source, sink).map(|(report, _)| report)
+    }
+
+    /// [`StreamingLoader::process_with`], also handing back the
+    /// verified leaf digest of every segment.
+    fn verify<R: Read, F: FnMut(usize, &[u8])>(
+        &self,
         mut source: R,
         mut sink: F,
-    ) -> Result<StreamReport, HdeError> {
+    ) -> Result<(StreamReport, Vec<Digest>), HdeError> {
         // ---- Incremental header parse (the raw bytes are the AAD). ----
         let mut aad = read_chunk(&mut source, HEADER_FIXED_LEN, "header")?;
         let header = Header::parse(&aad)?;
@@ -284,14 +295,15 @@ impl<'l> StreamingLoader<'l> {
             });
         }
 
-        Ok(StreamReport {
+        let report = StreamReport {
             payload_len,
             text_len,
             segments: leaf_count,
             cycles: self.sequential_cycles(payload_len, leaf_count),
             peak_buffered,
             metadata_bytes,
-        })
+        };
+        Ok((report, recomputed))
     }
 
     /// Single-lane cycle model: the streaming pipeline decrypts and

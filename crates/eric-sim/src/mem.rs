@@ -137,6 +137,16 @@ impl Memory {
         Ok(off as usize)
     }
 
+    /// Check that `[addr, addr + len)` is mapped, reporting exactly the
+    /// error a [`Memory::write_bytes`] of `len` bytes there would.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError`] if the range is unmapped.
+    pub fn check_write(&self, addr: u64, len: usize) -> Result<(), MemError> {
+        self.offset(addr, len, true).map(drop)
+    }
+
     /// Copy `data` into memory at `addr`.
     ///
     /// # Errors

@@ -285,6 +285,61 @@ impl Soc {
         Ok(())
     }
 
+    /// [`Soc::load_raw`] for a payload held in pieces: the first
+    /// `text_len` bytes of the pieces, in order, are the text section
+    /// and the rest the data section, and a piece may straddle the
+    /// split. Each piece is copied straight into RAM, so the payload is
+    /// never gathered into one buffer. Loads as `load_raw` of the
+    /// concatenated sections would and fails with the same error, but
+    /// checks both sections against RAM before writing any byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Load`] when a section does not fit in RAM.
+    pub fn load_pieces<'a, I>(
+        &mut self,
+        text_base: u64,
+        data_base: u64,
+        text_len: usize,
+        pieces: I,
+        entry: u64,
+    ) -> Result<(), RunError>
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: Clone,
+    {
+        let pieces = pieces.into_iter();
+        let payload_len: usize = pieces.clone().map(<[u8]>::len).sum();
+        let data_len = payload_len.saturating_sub(text_len);
+        self.mem.clear();
+        self.mem
+            .check_write(text_base, text_len.min(payload_len))
+            .map_err(RunError::Load)?;
+        if data_len > 0 {
+            self.mem
+                .check_write(data_base, data_len)
+                .map_err(RunError::Load)?;
+        }
+        let mut at = 0usize;
+        for piece in pieces {
+            let (text, data) = piece.split_at(text_len.saturating_sub(at).min(piece.len()));
+            if !text.is_empty() {
+                self.mem
+                    .write_bytes(text_base + at as u64, text)
+                    .map_err(RunError::Load)?;
+            }
+            if !data.is_empty() {
+                let data_at = (at + text.len() - text_len) as u64;
+                self.mem
+                    .write_bytes(data_base + data_at, data)
+                    .map_err(RunError::Load)?;
+            }
+            at += piece.len();
+        }
+        self.reset_cpu(entry);
+        Ok(())
+    }
+
     fn reset_cpu(&mut self, entry: u64) {
         self.cpu.reset();
         self.cpu.pc = entry;
@@ -1198,6 +1253,35 @@ mod tests {
         // line missed); addi@66: 1; exit ecall: 1.
         assert_eq!(out.cycles, 46);
         assert!(outcomes.all(|o| o == out), "tiers diverged");
+    }
+
+    /// A payload loaded in pieces, with pieces straddling the text/data
+    /// split, lands in RAM byte for byte at the section addresses, and
+    /// a data section past the end of RAM fails as `load_raw` fails.
+    #[test]
+    fn load_pieces_places_both_sections() {
+        let base = 0x8000_0000u64;
+        let payload: Vec<u8> = (1..=103u8).collect();
+        let mut want = vec![0u8; 0x2100];
+        want[..42].copy_from_slice(&payload[..42]);
+        want[0x2000..0x2000 + 61].copy_from_slice(&payload[42..]);
+        for piece_len in [1, 5, 41, 42, 43, 64, 103, 200] {
+            let pieces: Vec<&[u8]> = payload.chunks(piece_len).collect();
+            let mut soc = Soc::new(SocConfig::default());
+            soc.load_pieces(base, base + 0x2000, 42, pieces, base)
+                .unwrap();
+            let got = soc.memory_mut().read_bytes(base, 0x2100).unwrap();
+            assert_eq!(got, &want[..], "pieces of {piece_len}");
+            assert_eq!(soc.cpu().pc, base);
+        }
+        let far = base + SocConfig::default().ram_size as u64 - 8;
+        let pieces = [&payload[..50], &payload[50..]];
+        let mut soc = Soc::new(SocConfig::default());
+        let err = soc.load_pieces(base, far, 42, pieces, base).unwrap_err();
+        let (text, data) = payload.split_at(42);
+        let want = soc.load_raw(base, text, far, data, base).unwrap_err();
+        assert!(matches!(err, RunError::Load(_)));
+        assert_eq!(format!("{err:?}"), format!("{want:?}"));
     }
 
     /// Self-modification safety (the HDE decrypts text in place): a

@@ -108,6 +108,62 @@ fn every_single_bit_flip_in_a_delta_frame_is_rejected() {
     );
 }
 
+/// A program whose payload is its text followed by `data`.
+fn with_data(data: &[u8]) -> String {
+    let bytes: Vec<String> = data.iter().map(u8::to_string).collect();
+    format!(
+        ".data\nbuf: .byte {}\n.text\nmain:\n li a0, 42\n li a7, 93\n ecall\n",
+        bytes.join(", ")
+    )
+}
+
+/// Copy-on-write patching is invisible: for every delta shape the
+/// patched image scrubs clean and is byte-identical to a clean full
+/// install of the target, not just fingerprint-equal.
+#[test]
+fn patched_images_are_byte_identical_to_clean_installs() {
+    let data = |len: usize, mark: u8| {
+        let mut d = vec![0x5Au8; len];
+        d[len / 2] = mark;
+        d
+    };
+    // Against 32-byte segments: a sparse edit inside a many-segment
+    // image, growth and shrinkage across segment boundaries, and a
+    // ragged tail that changes length without changing the count.
+    let cases = [
+        ("identical", data(300, 1), data(300, 1)),
+        ("sparse", data(300, 1), data(300, 2)),
+        ("growth", data(70, 1), data(200, 1)),
+        ("shrink", data(200, 1), data(70, 1)),
+        ("ragged tail", data(70, 1), data(75, 1)),
+    ];
+    let source = SoftwareSource::new("ota-vendor");
+    for (seed, (name, base, target)) in cases.iter().enumerate() {
+        let mut device = Device::with_seed(SEED + 1 + seed as u64, "ota-node");
+        let cred = device.enroll();
+        let base = prepared(&source, &with_data(base));
+        let target = prepared(&source, &with_data(target));
+        let installed = device
+            .install(&source.package_prepared(&base, &cred).unwrap().0)
+            .unwrap();
+        let delta = source.prepare_delta(&base, &target).unwrap();
+        let frame = source.package_delta(&delta, &cred).unwrap();
+        let patched = device.apply_delta(&installed, &frame).unwrap();
+        patched
+            .scrub()
+            .unwrap_or_else(|e| panic!("{name}: scrub: {e}"));
+        let clean = device
+            .install(&source.package_prepared(&target, &cred).unwrap().0)
+            .unwrap();
+        assert_eq!(patched.plaintext(), clean.plaintext(), "{name}");
+        assert_eq!(patched.fingerprint(), clean.fingerprint(), "{name}");
+        assert_eq!(patched.segments(), clean.segments(), "{name}");
+        assert_eq!(device.run_installed(&patched).unwrap().exit_code, 42);
+        // Patching never disturbs the base.
+        installed.scrub().unwrap();
+    }
+}
+
 /// Representative flips in each wire region produce the *precise*
 /// error for that region — diagnosis, not just rejection.
 #[test]

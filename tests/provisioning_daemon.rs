@@ -10,6 +10,7 @@ use eric::core::{
     SoftwareSource,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const PROGRAM: &str = "main:\n li a0, 41\n addi a0, a0, 1\n li a7, 93\n ecall\n";
@@ -64,23 +65,44 @@ fn backpressure_bounds_buffers_under_a_slow_consumer() {
 /// A worker whose home shard is tiny steals from the longest shard
 /// instead of idling: every index is claimed exactly once and the
 /// short-shard worker provably claims work beyond its own range.
+///
+/// The proof does not rest on thread scheduling. A single-thread pop
+/// sequence shows the crossing deterministically, and the threaded
+/// run holds the owner of shard 1 at a barrier until the short-shard
+/// worker has drained its home and stolen once, then lets both race
+/// over the rest.
 #[test]
 fn work_stealing_rebalances_skewed_shards() {
     // Shard 0 holds 2 indices, shard 1 holds 198.
-    let queue = ShardQueue::from_ranges(&[(0, 2), (2, 200)]);
+    let skewed = || ShardQueue::from_ranges(&[(0, 2), (2, 200)]);
+
+    // Single thread: worker 0 drains its home, then crosses into
+    // shard 1 and keeps going until every index is out.
+    let queue = skewed();
+    let order: Vec<usize> = std::iter::from_fn(|| queue.pop(0)).collect();
+    assert_eq!(&order[..3], &[0, 1, 2], "third pop must steal from shard 1");
+    assert_eq!(order, (0..200).collect::<Vec<_>>());
+    assert!(queue.is_drained());
+
+    // Two threads, ordered by a barrier: worker 1 may not touch its
+    // home shard until worker 0 has claimed its two indices plus one
+    // stolen from shard 1.
+    let queue = skewed();
     let claimed_by_zero = AtomicUsize::new(0);
     let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+    let stolen = Barrier::new(2);
     std::thread::scope(|scope| {
         for home in 0..2 {
-            let (queue, hits, claimed_by_zero) = (&queue, &hits, &claimed_by_zero);
+            let (queue, hits, claimed_by_zero, stolen) = (&queue, &hits, &claimed_by_zero, &stolen);
             scope.spawn(move || {
+                if home == 1 {
+                    stolen.wait();
+                }
                 while let Some(i) = queue.pop(home) {
                     hits[i].fetch_add(1, Ordering::Relaxed);
-                    if home == 0 {
-                        claimed_by_zero.fetch_add(1, Ordering::Relaxed);
-                        // Slow the thief slightly less than the owner
-                        // would need: keeps both threads in the race.
-                        std::hint::black_box(i);
+                    if home == 0 && claimed_by_zero.fetch_add(1, Ordering::Relaxed) + 1 == 3 {
+                        stolen.wait();
+                        assert!(i >= 2, "worker 0's third claim {i} is not a steal");
                     }
                 }
             });

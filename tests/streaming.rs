@@ -11,7 +11,8 @@
 //! path exists for: peak payload residency is one segment buffer.
 
 use eric::core::{Device, EncryptionConfig, Package, SoftwareSource};
-use eric::hde::loader::{SecureInput, SecureLoader};
+use eric::crypto::sha256::tree::leaf_digests_batch;
+use eric::hde::loader::{LoadedProgram, SecureInput, SecureLoader};
 use eric::hde::policy::FieldPolicy;
 use eric::hde::streaming::StreamingLoader;
 use eric::hde::HdeError;
@@ -93,23 +94,21 @@ fn device_loader() -> SecureLoader {
 }
 
 /// The buffered oracle: parse the wire frame and process it whole.
-fn buffered(loader: &SecureLoader, wire: &[u8]) -> Result<Vec<u8>, HdeError> {
+fn buffered(loader: &SecureLoader, wire: &[u8]) -> Result<LoadedProgram, HdeError> {
     let pkg = Package::from_wire(wire).expect("frame parses");
     let challenge = Challenge::from_bytes(&pkg.challenge);
-    loader
-        .process(&SecureInput {
-            payload: &pkg.payload,
-            aad: &pkg.aad(),
-            text_len: pkg.text_len as usize,
-            map: &pkg.map,
-            policy: pkg.policy,
-            signature: &pkg.signature,
-            cipher: pkg.cipher,
-            challenge: &challenge,
-            epoch: pkg.epoch,
-            nonce: pkg.nonce,
-        })
-        .map(|loaded| loaded.plaintext)
+    loader.process(&SecureInput {
+        payload: &pkg.payload,
+        aad: &pkg.aad(),
+        text_len: pkg.text_len as usize,
+        map: &pkg.map,
+        policy: pkg.policy,
+        signature: &pkg.signature,
+        cipher: pkg.cipher,
+        challenge: &challenge,
+        epoch: pkg.epoch,
+        nonce: pkg.nonce,
+    })
 }
 
 /// Every mode × every adversarial chunk size: the streamed plaintext
@@ -122,7 +121,8 @@ fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
     let chunks = [1, 7, sl - 1, sl, sl + 1, HEADER_STRADDLE, usize::MAX];
     for (mode, config) in modes() {
         let wire = build(&config).to_wire();
-        let want = buffered(&loader, &wire).expect("oracle accepts its own frame");
+        let whole = buffered(&loader, &wire).expect("oracle accepts its own frame");
+        let want = whole.plaintext;
         let streaming = StreamingLoader::new(&loader);
         for chunk in chunks {
             let mut streamed = Vec::new();
@@ -145,6 +145,11 @@ fn streaming_matches_buffered_across_modes_and_chunk_sizes() {
             .process(ChunkedReader::new(&wire, sl))
             .expect("process accepts");
         assert_eq!(loaded.plaintext, want);
+        // Both loaders hand back the leaves they verified the segments
+        // against (an installed image caches them instead of re-hashing).
+        let leaves = leaf_digests_batch(0, &want, sl);
+        assert_eq!(loaded.leaves, leaves, "{mode}: streamed leaves");
+        assert_eq!(whole.leaves, leaves, "{mode}: buffered leaves");
     }
 }
 
@@ -218,7 +223,7 @@ proptest! {
             .unwrap()
             .to_wire();
         let loader = device_loader();
-        let want = buffered(&loader, &wire).expect("oracle accepts");
+        let want = buffered(&loader, &wire).expect("oracle accepts").plaintext;
         let streaming = StreamingLoader::new(&loader);
         let mut streamed = Vec::new();
         let report = streaming
