@@ -1,10 +1,11 @@
 //! Crypto-primitive microbenchmark (cipher-choice ablation: the
 //! paper's pluggable encryption function), comparing the block
 //! keystream path against the per-byte reference the decrypt hot loop
-//! used before the run-based redesign, and the multi-buffer SHA-CTR
-//! fill against the single-block scalar compress it replaced.
+//! used before the run-based redesign, the multi-buffer SHA-CTR fill
+//! against the single-block scalar compress it replaced and against
+//! its single-chain ceiling, and batched leaf hashing.
 
-use eric_bench::output::{banner, smoke_mode, write_bench_json, write_json};
+use eric_bench::output::{banner, check_floor, write_bench_json, write_json};
 use eric_bench::{crypto_throughput, CipherRow};
 
 fn main() {
@@ -62,47 +63,62 @@ fn main() {
     println!("this is the tier the v1 signature chain, the streaming hasher, and");
     println!("the Merkle fold ride — sequential work no multi-buffer width reaches.");
 
+    println!(
+        "\nsha-ctr fill vs its single-chain ceiling (sha-ni chain / 2): {}",
+        report
+            .shactr_fill_vs_chain_ceiling
+            .map_or("n/a (no SHA-NI)".to_string(), |r| format!("{r:.2}x"))
+    );
+    println!(
+        "leaf_digests_batch, 1 MiB in 4 KiB segments: {:.1} MiB/s",
+        report.leaf_batch_mib_s
+    );
+    println!();
+
     let xor: &CipherRow = report
         .rows
         .iter()
         .find(|r| r.cipher == "xor")
         .expect("xor row present");
-    if smoke_mode() {
-        println!("smoke mode: floor assertions skipped");
+    check_floor(
+        "xor-block-vs-bytewise",
+        Some(xor.speedup),
+        5.0,
+        None,
+        "the XOR block path must beat the per-byte reference on a 1 MiB payload",
+    );
+    check_floor(
+        "sha-ctr-fill-vs-scalar-fill",
+        Some(report.shactr_fill_speedup),
+        2.0,
+        None,
+        "the multi-buffer fill must beat the single-block scalar compress path \
+         on a 1 MiB keystream",
+    );
+    check_floor(
+        "sha-ni-chain-vs-scalar-chain",
+        report.singlestream_shani_speedup,
+        1.5,
+        report
+            .singlestream_shani_speedup
+            .is_none()
+            .then_some("no SHA-NI on this host"),
+        "the SHA-NI single-stream compress must beat the scalar compress on a 1 MiB chain",
+    );
+    let ceiling_skip = if report.shactr_fill_vs_chain_ceiling.is_none() {
+        Some("no SHA-NI on this host")
+    } else if report.hash_engine != "sha-ni" {
+        Some("the fill does not run on the sha-ni engine")
     } else {
-        assert!(
-            xor.speedup >= 5.0,
-            "block path must be >= 5x the per-byte reference for the XOR cipher \
-             on a 1 MiB payload, measured {:.1}x",
-            xor.speedup
-        );
-        println!(
-            "block-vs-byte floor OK: xor speedup {:.1}x >= 5x",
-            xor.speedup
-        );
-        assert!(
-            report.shactr_fill_speedup >= 2.0,
-            "multi-buffer fill must be >= 2x the single-block scalar compress \
-             path on a 1 MiB keystream, measured {:.1}x on the {} engine",
-            report.shactr_fill_speedup,
-            report.hash_engine
-        );
-        println!(
-            "multi-buffer floor OK: sha-ctr fill speedup {:.1}x >= 2x ({} engine)",
-            report.shactr_fill_speedup, report.hash_engine
-        );
-        match report.singlestream_shani_speedup {
-            Some(speedup) => {
-                assert!(
-                    speedup >= 1.5,
-                    "the SHA-NI single-stream compress must be >= 1.5x the scalar \
-                     compress on a 1 MiB chain, measured {speedup:.1}x"
-                );
-                println!("single-stream floor OK: sha-ni speedup {speedup:.1}x >= 1.5x");
-            }
-            None => println!("single-stream floor skipped: no SHA-NI on this host"),
-        }
-    }
+        None
+    };
+    check_floor(
+        "sha-ctr-fill-vs-chain-ceiling",
+        report.shactr_fill_vs_chain_ceiling,
+        1.0,
+        ceiling_skip,
+        "the interleaved sha-ni fill must reach the single-chain ceiling",
+    );
 
     write_json("crypto_throughput", &report);
     write_bench_json("crypto_throughput");

@@ -597,6 +597,16 @@ pub struct CryptoThroughputReport {
     /// Which single-stream compress engine the process-wide dispatch
     /// picked (`sha-ni`/`scalar`).
     pub compress_engine: String,
+    /// `shactr_fill_mib_s / (singlestream_shani_mib_s / 2)`: the fill
+    /// against its single-chain ceiling (one compress yields 32
+    /// keystream bytes, half its 64-byte input). Above 1.0 the
+    /// interleaved kernel overlaps more than one chain; `None` without
+    /// SHA-NI.
+    pub shactr_fill_vs_chain_ceiling: Option<f64>,
+    /// `tree::leaf_digests_batch` over the same 1 MiB in 4 KiB
+    /// segments, MiB/s — the batched leaf hashing `prepare_image` and
+    /// the buffered loader's lanes run.
+    pub leaf_batch_mib_s: f64,
 }
 
 /// Median wall time of `f` over `iters` runs, as MiB/s for `mib` MiB;
@@ -682,6 +692,9 @@ pub fn crypto_throughput() -> CryptoThroughputReport {
             _ => singlestream_shani_mib_s = Some(mib_s),
         }
     }
+    let leaf_batch_mib_s = median_mib_s("leaf-batch", ITERS, 1.0, || {
+        std::hint::black_box(eric_crypto::sha256::tree::leaf_digests_batch(0, &buf, 4096));
+    });
     CryptoThroughputReport {
         rows,
         sha256_mib_s,
@@ -696,6 +709,9 @@ pub fn crypto_throughput() -> CryptoThroughputReport {
         singlestream_shani_speedup: singlestream_shani_mib_s
             .map(|s| s / singlestream_scalar_mib_s.max(f64::EPSILON)),
         compress_engine: eric_crypto::sha256::active_compress().name().to_string(),
+        shactr_fill_vs_chain_ceiling: singlestream_shani_mib_s
+            .map(|chain| shactr_fill_mib_s / (chain / 2.0).max(f64::EPSILON)),
+        leaf_batch_mib_s,
     }
 }
 
@@ -1283,7 +1299,9 @@ crate::impl_json_struct!(CryptoThroughputReport {
     singlestream_scalar_mib_s,
     singlestream_shani_mib_s,
     singlestream_shani_speedup,
-    compress_engine
+    compress_engine,
+    shactr_fill_vs_chain_ceiling,
+    leaf_batch_mib_s
 });
 // ---------------------------------------------------------------------
 // Simulator dispatch — execution-engine tiers + threaded fleet runner

@@ -181,6 +181,71 @@ pub fn record_elapsed<T>(experiment: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// One floor of a bench run: a row of the `BENCH_<name>.json` `floors`
+/// list.
+#[derive(Clone, Debug)]
+pub struct FloorRecord {
+    /// Floor label, unique within one bench binary.
+    pub floor: String,
+    /// The measured value, `null` when the host could not measure it.
+    pub value: Option<f64>,
+    /// The least value the floor accepts.
+    pub min: f64,
+    /// `"passed"`, or `"skipped: <reason>"`.
+    pub status: String,
+}
+
+crate::impl_json_struct!(FloorRecord {
+    floor,
+    value,
+    min,
+    status
+});
+
+/// Process-wide floor registry, drained by [`write_bench_json`].
+static FLOORS: Mutex<Vec<FloorRecord>> = Mutex::new(Vec::new());
+
+/// Assert that `value` reaches `min`, unless the floor is skipped — in
+/// [`smoke_mode`], or when `skip` names why it does not apply on this
+/// host (or `value` is `None`). Either way the outcome is printed and
+/// recorded for `BENCH_<name>.json`: a skipped floor is recorded as
+/// skipped, never as passed.
+///
+/// # Panics
+///
+/// Panics with `what` when the floor applies and `value < min`.
+pub fn check_floor(floor: &str, value: Option<f64>, min: f64, skip: Option<&str>, what: &str) {
+    let skip = if smoke_mode() {
+        Some("smoke mode")
+    } else {
+        skip
+    };
+    let status = match (skip, value) {
+        (None, Some(v)) => {
+            assert!(
+                v >= min,
+                "{what}: floor {floor} needs >= {min}, measured {v:.2}"
+            );
+            println!("floor {floor} OK: {v:.2} >= {min}");
+            "passed".to_string()
+        }
+        (reason, _) => {
+            let reason = reason.unwrap_or("not measured on this host");
+            println!("floor {floor} skipped: {reason}");
+            format!("skipped: {reason}")
+        }
+    };
+    FLOORS
+        .lock()
+        .expect("bench floor registry poisoned")
+        .push(FloorRecord {
+            floor: floor.to_string(),
+            value,
+            min,
+            status,
+        });
+}
+
 /// Drain every [`record`]ed measurement into
 /// `target/eric-results/BENCH_<bench>.json`.
 ///
@@ -198,15 +263,18 @@ pub fn write_bench_json(bench: &str) {
         hash_engine: String,
         compress_engine: String,
         records: Vec<BenchRecord>,
+        floors: Vec<FloorRecord>,
     }
     crate::impl_json_struct!(BenchFile {
         bench,
         smoke,
         hash_engine,
         compress_engine,
-        records
+        records,
+        floors
     });
     let records = std::mem::take(&mut *RECORDS.lock().expect("bench record registry poisoned"));
+    let floors = std::mem::take(&mut *FLOORS.lock().expect("bench floor registry poisoned"));
     write_json(
         &format!("BENCH_{bench}"),
         &BenchFile {
@@ -217,6 +285,7 @@ pub fn write_bench_json(bench: &str) {
                 .to_string(),
             compress_engine: eric_crypto::sha256::active_compress().name().to_string(),
             records,
+            floors,
         },
     );
 }

@@ -11,8 +11,8 @@
 //! must derive the keystream byte for an arbitrary payload offset without
 //! processing the bytes before it.
 
-use crate::sha256::multibuffer::{self, Engine, MultiSha256, MAX_LANES};
-use crate::sha256::{CompressEngine, Sha256};
+use crate::sha256::multibuffer::{self, Engine, MAX_LANES};
+use crate::sha256::{CompressEngine, Sha256, H0};
 use std::fmt;
 
 /// Scratch size used by the default block implementations. One page:
@@ -193,8 +193,16 @@ impl KeystreamCipher for XorCipher {
 ///
 /// Demonstrates the paper's claim that "the user has the freedom to upload
 /// his own encryption method to the system": the keystream block `i` is
-/// `SHA-256(key ‖ i)`, so the stream has no short period, unlike
+/// `SHA-256(key ‖ LE64(i))`, so the stream has no short period, unlike
 /// [`XorCipher`]. Used by the cipher-choice ablation bench.
+///
+/// Every counter message shares the key prefix and one length, so the
+/// cipher hashes the key's whole 64-byte blocks once into a midstate
+/// and keeps the padded rest of the message (`key tail ‖ counter slot ‖
+/// 0x80 ‖ zeros ‖ bit length`, one or two blocks) as a template. A
+/// keystream block then costs one or two compressions of the template
+/// with the counter written in, batched through the multi-buffer
+/// [`Engine`].
 ///
 /// ```rust
 /// use eric_crypto::cipher::{KeystreamCipher, ShaCtrCipher};
@@ -209,6 +217,15 @@ impl KeystreamCipher for XorCipher {
 #[derive(Clone)]
 pub struct ShaCtrCipher {
     key: Vec<u8>,
+    /// The initial hash state folded over the key's whole 64-byte
+    /// blocks (the initial state itself for keys under 64 bytes).
+    midstate: [u32; 8],
+    /// The padded message after the midstate, with the counter slot
+    /// at `ctr_at` left zero; `tail_blocks` (1 or 2) of its blocks are
+    /// used.
+    tail: [[u8; 64]; 2],
+    tail_blocks: usize,
+    ctr_at: usize,
 }
 
 impl ShaCtrCipher {
@@ -222,17 +239,32 @@ impl ShaCtrCipher {
     /// Panics if `key` is empty.
     pub fn new(key: &[u8]) -> Self {
         assert!(!key.is_empty(), "SHA-CTR cipher key must not be empty");
-        ShaCtrCipher { key: key.to_vec() }
+        let whole = key.len() / 64 * 64;
+        let mut midstate = H0;
+        for block in key[..whole].chunks_exact(64) {
+            Sha256::compress_block(&mut midstate, block.try_into().expect("64-byte chunk"));
+        }
+        // key tail ‖ LE64(counter) ‖ 0x80 ‖ zeros ‖ BE64(bit length).
+        let ctr_at = key.len() - whole;
+        let tail_blocks = if ctr_at + 8 + 9 <= 64 { 1 } else { 2 };
+        let mut flat = [0u8; 128];
+        flat[..ctr_at].copy_from_slice(&key[whole..]);
+        flat[ctr_at + 8] = 0x80;
+        let bit_len = (key.len() as u64 + 8) * 8;
+        flat[64 * tail_blocks - 8..64 * tail_blocks].copy_from_slice(&bit_len.to_be_bytes());
+        let tail = [0, 1].map(|p| flat[64 * p..64 * (p + 1)].try_into().expect("64-byte half"));
+        ShaCtrCipher {
+            key: key.to_vec(),
+            midstate,
+            tail,
+            tail_blocks,
+            ctr_at,
+        }
     }
 
-    fn block(&self, index: u64) -> [u8; 32] {
-        self.block_with(crate::sha256::active_compress(), index)
-    }
-
-    /// The one place the single-stream counter message is defined:
-    /// `SHA-256(key ‖ LE64(index))` on an explicit compress engine.
-    /// [`ShaCtrCipher::blocks_into`] is the lockstep (multi-buffer)
-    /// rendering of the same message.
+    /// `SHA-256(key ‖ LE64(index))` through the streaming hasher on an
+    /// explicit compress engine: the definition the template path is
+    /// pinned against.
     fn block_with(&self, engine: &'static CompressEngine, index: u64) -> [u8; 32] {
         let mut h = Sha256::with_engine(engine);
         h.update(&self.key);
@@ -240,28 +272,69 @@ impl ShaCtrCipher {
         h.finalize().0
     }
 
-    /// Materialize one lockstep group of keystream blocks
-    /// `first .. first + out.len()`: every counter message is
-    /// `key ‖ LE64(counter)` — identical length across the group — so
-    /// all of them compress through one wide kernel call instead of
-    /// one scalar chain each. The caller batches the stream into
-    /// groups of at most [`MAX_LANES`] blocks.
-    fn blocks_into(&self, engine: &'static Engine, first: u64, out: &mut [[u8; 32]]) {
-        let lanes = out.len();
-        debug_assert!((1..=MAX_LANES).contains(&lanes));
-        let mut hasher = MultiSha256::with_engine(lanes, engine);
-        let key_refs = [self.key.as_slice(); MAX_LANES];
-        hasher.update(&key_refs[..lanes]);
-        let mut counters = [[0u8; 8]; MAX_LANES];
-        for (l, counter) in counters[..lanes].iter_mut().enumerate() {
-            *counter = (first + l as u64).to_le_bytes();
+    /// Generate the keystream for positions `offset .. offset + len`
+    /// on `engine`, handing it to `sink` one lockstep group of up to
+    /// [`MAX_LANES`] blocks at a time, as (offset into the range,
+    /// bytes). Per group only the counter bytes of each lane's
+    /// template copy are rewritten before the compress.
+    fn keystream_blocks(
+        &self,
+        engine: &'static Engine,
+        offset: u64,
+        len: usize,
+        mut sink: impl FnMut(usize, &[u8]),
+    ) {
+        if len == 0 {
+            return;
         }
-        let mut counter_refs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
-        for (l, r) in counter_refs[..lanes].iter_mut().enumerate() {
-            *r = &counters[l];
+        let end = offset + len as u64;
+        let first = offset / Self::BLOCK;
+        let last = (end - 1) / Self::BLOCK;
+        let lanes = (last - first + 1).min(MAX_LANES as u64) as usize;
+        let parts = self.tail_blocks;
+        // blocks[p][l]: tail block p of lane l's counter message.
+        let mut blocks = [[[0u8; 64]; MAX_LANES]; 2];
+        for (group, tail) in blocks[..parts].iter_mut().zip(&self.tail) {
+            group[..lanes].fill(*tail);
         }
-        hasher.update(&counter_refs[..lanes]);
-        hasher.finalize_into(out);
+        let slot = self.ctr_at;
+        let mut index = first;
+        while index <= last {
+            let n = (last - index + 1).min(MAX_LANES as u64) as usize;
+            let [first_part, second_part] = &mut blocks;
+            let messages = first_part[..n].iter_mut().zip(&mut second_part[..n]);
+            for (l, (head, tail)) in messages.enumerate() {
+                let ctr = (index + l as u64).to_le_bytes();
+                if slot + 8 <= 64 {
+                    head[slot..slot + 8].copy_from_slice(&ctr);
+                } else {
+                    // The counter slot straddles the two tail blocks.
+                    let (low, high) = ctr.split_at(64 - slot);
+                    head[slot..].copy_from_slice(low);
+                    tail[..high.len()].copy_from_slice(high);
+                }
+            }
+            let mut states = [self.midstate; MAX_LANES];
+            for group in &blocks[..parts] {
+                engine.compress_blocks(&mut states[..n], &group[..n]);
+            }
+            // The group's digests are the keystream of its blocks, back
+            // to back; only the first and last group can be clipped.
+            let mut ks = [0u8; 32 * MAX_LANES];
+            for (digest, state) in ks.chunks_exact_mut(32).zip(&states[..n]) {
+                for (bytes, word) in digest.chunks_exact_mut(4).zip(state) {
+                    bytes.copy_from_slice(&word.to_be_bytes());
+                }
+            }
+            let group_start = index * Self::BLOCK;
+            let from = offset.max(group_start);
+            let to = end.min(group_start + n as u64 * Self::BLOCK);
+            sink(
+                (from - offset) as usize,
+                &ks[(from - group_start) as usize..(to - group_start) as usize],
+            );
+            index += n as u64;
+        }
     }
 
     /// [`KeystreamCipher::fill_keystream`] pinned to a specific hash
@@ -269,51 +342,31 @@ impl ShaCtrCipher {
     /// benchmarks; the trait method uses
     /// [`multibuffer::active`]).
     pub fn fill_keystream_with(&self, engine: &'static Engine, offset: u64, out: &mut [u8]) {
-        if out.is_empty() {
-            return;
-        }
-        let first_block = offset / Self::BLOCK;
-        let last_block = (offset + out.len() as u64 - 1) / Self::BLOCK;
-        let out_end = offset + out.len() as u64;
-        let mut digests = [[0u8; 32]; MAX_LANES];
-        let mut index = first_block;
-        while index <= last_block {
-            let batch = ((last_block - index + 1) as usize).min(MAX_LANES);
-            self.blocks_into(engine, index, &mut digests[..batch]);
-            for (j, digest) in digests[..batch].iter().enumerate() {
-                // Copy the intersection of this 32-byte block with the
-                // requested range (the first and last blocks may be
-                // straddled by the request).
-                let block_start = (index + j as u64) * Self::BLOCK;
-                let copy_from = offset.max(block_start);
-                let copy_to = out_end.min(block_start + Self::BLOCK);
-                let src = (copy_from - block_start) as usize;
-                let dst = (copy_from - offset) as usize;
-                let len = (copy_to - copy_from) as usize;
-                out[dst..dst + len].copy_from_slice(&digest[src..src + len]);
-            }
-            index += batch as u64;
-        }
+        self.keystream_blocks(engine, offset, out.len(), |at, ks| {
+            out[at..at + ks.len()].copy_from_slice(ks);
+        });
     }
 
     /// The pre-multibuffer fill: one single-stream [`Sha256`] chain
     /// per 32-byte counter block.
     ///
-    /// Kept (and exported) as the single-block compress *oracle* — the
-    /// analogue of `transform_payload_bytewise` for the hash engine:
-    /// tests pin the batched fill byte-identical to it, and the
-    /// `crypto_throughput` bench measures what the engine stack bought
-    /// over it. Never call it on a hot path. The per-chain compress
-    /// rides the dispatched [`Sha256::compress_block`];
+    /// The single-block *oracle* — the analogue of
+    /// `transform_payload_bytewise` for the hash engine: tests pin the
+    /// batched fill byte-identical to it, and the `crypto_throughput`
+    /// bench measures what the engine stack bought over it. Only built
+    /// with the `testing` feature. The per-chain compress rides the
+    /// dispatched [`Sha256::compress_block`];
     /// [`ShaCtrCipher::fill_keystream_scalar_with`] pins a specific
     /// single-stream engine (the bench pins `scalar` to measure the
     /// pure-software baseline).
+    #[cfg(any(test, feature = "testing"))]
     pub fn fill_keystream_scalar(&self, offset: u64, out: &mut [u8]) {
         self.fill_keystream_scalar_with(crate::sha256::active_compress(), offset, out);
     }
 
     /// [`ShaCtrCipher::fill_keystream_scalar`] pinned to a specific
     /// single-stream compress engine.
+    #[cfg(any(test, feature = "testing"))]
     pub fn fill_keystream_scalar_with(
         &self,
         engine: &'static CompressEngine,
@@ -340,22 +393,30 @@ impl fmt::Debug for ShaCtrCipher {
 
 impl KeystreamCipher for ShaCtrCipher {
     fn keystream_byte(&self, pos: u64) -> u8 {
-        let block = self.block(pos / Self::BLOCK);
+        let block = self.block_with(crate::sha256::active_compress(), pos / Self::BLOCK);
         block[(pos % Self::BLOCK) as usize]
     }
 
     /// Counter blocks are fully independent, so the fill batches them
-    /// through the multi-buffer SHA-256 engine: up to
-    /// [`MAX_LANES`] counter messages per wide compress instead of one
-    /// scalar chain per 32-byte block (the shape
-    /// [`ShaCtrCipher::fill_keystream_scalar`] preserves as the
-    /// oracle).
+    /// through the multi-buffer SHA-256 engine: up to [`MAX_LANES`]
+    /// counter messages per kernel call instead of one chain per
+    /// 32-byte block.
     fn fill_keystream(&self, offset: u64, out: &mut [u8]) {
         self.fill_keystream_with(multibuffer::active(), offset, out);
     }
 
     fn name(&self) -> &'static str {
         "sha-ctr"
+    }
+
+    /// XOR each keystream block straight into `buf` as it is
+    /// generated — no scratch block, single pass.
+    fn apply(&self, offset: u64, buf: &mut [u8]) {
+        self.keystream_blocks(multibuffer::active(), offset, buf.len(), |at, ks| {
+            for (b, k) in buf[at..at + ks.len()].iter_mut().zip(ks) {
+                *b ^= *k;
+            }
+        });
     }
 }
 
@@ -538,14 +599,35 @@ mod tests {
 
     #[test]
     fn sha_ctr_multibuffer_fill_matches_scalar_oracle_on_every_engine() {
-        // Key lengths straddling the 64-byte block boundary exercise
-        // 1- and 2-block counter messages; offsets/lengths exercise
-        // head/tail straddling and whole-batch spans.
-        for key_len in [1usize, 31, 32, 47, 48, 63, 64, 65, 100] {
+        // Key lengths exercise every shape of the tail template: 1- and
+        // 2-block tails (the 2-block tail starts 48 bytes past the
+        // midstate), a counter slot ending a block (56, 120) or
+        // straddling two (57, 63, 121), and an empty key tail after a
+        // 1- or 2-block midstate (64, 128). Offsets/lengths exercise
+        // head/tail straddling and whole-batch spans; 32·(2^32 − 3)
+        // changes the counter's high word inside one lockstep group and
+        // 32·(2^58 − 3) its top byte, the last one a straddling slot
+        // carries into the second tail block.
+        let keys = [
+            1usize, 31, 32, 47, 48, 55, 56, 57, 63, 64, 65, 100, 119, 120, 121, 128,
+        ];
+        for key_len in keys {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 37 + 11) as u8).collect();
             let c = ShaCtrCipher::new(&key);
             for engine in multibuffer::engines() {
-                for offset in [0u64, 1, 31, 32, 33, 255, 256, 257, 8191] {
+                for offset in [
+                    0u64,
+                    1,
+                    31,
+                    32,
+                    33,
+                    255,
+                    256,
+                    257,
+                    8191,
+                    32 * ((1 << 32) - 3),
+                    32 * ((1 << 58) - 3),
+                ] {
                     for len in [0usize, 1, 31, 32, 33, 255, 256, 300, 1000] {
                         let mut want = vec![0u8; len];
                         c.fill_keystream_scalar(offset, &mut want);
@@ -560,6 +642,25 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sha_ctr_apply_matches_fill_then_xor() {
+        // ShaCtrCipher overrides apply() to XOR digests straight into
+        // the buffer; it must agree with the generic fill-then-XOR path
+        // at straddled offsets and lengths.
+        let c = ShaCtrCipher::new(b"apply key");
+        for (offset, len) in [(0u64, 0usize), (5, 6000), (31, 1), (32, 256), (7, 33)] {
+            let mut direct: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut via_fill = direct.clone();
+            c.apply(offset, &mut direct);
+            let mut ks = vec![0u8; len];
+            c.fill_keystream(offset, &mut ks);
+            for (b, k) in via_fill.iter_mut().zip(&ks) {
+                *b ^= *k;
+            }
+            assert_eq!(direct, via_fill, "offset {offset} len {len}");
         }
     }
 

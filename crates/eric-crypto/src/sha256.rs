@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 
 /// Initial hash values: first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -408,6 +408,12 @@ pub(crate) mod shani {
     //! working variables, so the kernel transposes the standard
     //! `[a..h]` state in on entry and back out on exit; everything in
     //! between is sixteen `rnds2` pairs over the on-the-fly schedule.
+    //!
+    //! One chain is a strict dependency on `sha256rnds2`'s latency, so
+    //! the kernel is written once for N independent (state, block)
+    //! pairs ([`compress_interleaved`]) and advances them round by
+    //! round: the N chains overlap in the pipeline, and the
+    //! single-stream [`compress_block`] is its N = 1 instance.
 
     use super::K;
     use core::arch::x86_64::*;
@@ -421,63 +427,98 @@ pub(crate) mod shani {
     /// (checked by [`super::shani_detected`]).
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     pub unsafe fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+        compress_interleaved::<1>(core::slice::from_mut(state), core::slice::from_ref(block));
+    }
+
+    /// Compress `blocks[l]` into `states[l]` for each of `N` independent
+    /// lanes, interleaving the lanes round by round so their
+    /// `sha256rnds2` chains overlap instead of running back to back.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `ssse3`, and `sse4.1` features
+    /// (checked by [`super::shani_detected`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `states` and `blocks` both hold exactly `N` entries.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub unsafe fn compress_interleaved<const N: usize>(
+        states: &mut [[u32; 8]],
+        blocks: &[[u8; 64]],
+    ) {
+        assert!(
+            states.len() == N && blocks.len() == N,
+            "one state per block, N of each"
+        );
         // Row t of the round-constant table: K[4t..4t+4], lane 0 first.
         let kv = |t: usize| _mm_loadu_si128(K.as_ptr().add(4 * t).cast());
         // Per-32-bit-word byte swap: the message words are big-endian.
         let be_mask = _mm_set_epi64x(0x0c0d0e0f_08090a0bu64 as i64, 0x04050607_00010203u64 as i64);
 
-        // Repack (a,b,c,d),(e,f,g,h) into the (ABEF, CDGH) register
-        // layout the sha256rnds2 instruction expects.
-        let abcd = _mm_loadu_si128(state.as_ptr().cast());
-        let efgh = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
-        let efgh = _mm_shuffle_epi32(efgh, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        // Repack each lane's (a,b,c,d),(e,f,g,h) into the (ABEF, CDGH)
+        // register layout the sha256rnds2 instruction expects.
+        let mut abef = [_mm_setzero_si128(); N];
+        let mut cdgh = [_mm_setzero_si128(); N];
+        for l in 0..N {
+            let abcd = _mm_loadu_si128(states[l].as_ptr().cast());
+            let efgh = _mm_loadu_si128(states[l].as_ptr().add(4).cast());
+            let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+            let efgh = _mm_shuffle_epi32(efgh, 0x1B);
+            abef[l] = _mm_alignr_epi8(cdab, efgh, 8);
+            cdgh[l] = _mm_blend_epi16(efgh, cdab, 0xF0);
+        }
         let (abef_in, cdgh_in) = (abef, cdgh);
 
-        // Four rounds: low two message words through one rnds2 into
-        // CDGH, high two through the next into ABEF.
+        // Four rounds of lane l: low two message words through one
+        // rnds2 into CDGH, high two through the next into ABEF.
         macro_rules! rounds4 {
-            ($w:expr, $t:expr) => {{
+            ($l:expr, $w:expr, $t:expr) => {{
                 let msg = _mm_add_epi32($w, kv($t));
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+                cdgh[$l] = _mm_sha256rnds2_epu32(cdgh[$l], abef[$l], msg);
+                abef[$l] = _mm_sha256rnds2_epu32(abef[$l], cdgh[$l], _mm_shuffle_epi32(msg, 0x0E));
             }};
         }
 
-        // w[i % 4] holds message-schedule row i-4..i of the rotating
-        // window (one row = four W words).
-        let mut w = [_mm_setzero_si128(); 4];
-        for (t, wt) in w.iter_mut().enumerate() {
-            *wt = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * t).cast()), be_mask);
-            let row = *wt;
-            rounds4!(row, t);
+        // Rows t-4..t of the message schedule (one row = four W words)
+        // for every lane, oldest first. The window shifts by value, so
+        // the rows stay in registers instead of in an indexed array.
+        let mut w = [[_mm_setzero_si128(); N]; 4];
+        for (t, row) in w.iter_mut().enumerate() {
+            for l in 0..N {
+                row[l] = _mm_shuffle_epi8(
+                    _mm_loadu_si128(blocks[l].as_ptr().add(16 * t).cast()),
+                    be_mask,
+                );
+                rounds4!(l, row[l], t);
+            }
         }
         for t in 4..16 {
-            // W[4t..] = msg2(msg1(row[t-4], row[t-3]) + (W[t·4-7..] via
-            // alignr of rows t-1/t-2), row[t-1]).
-            let next = _mm_sha256msg2_epu32(
-                _mm_add_epi32(
-                    _mm_sha256msg1_epu32(w[t % 4], w[(t + 1) % 4]),
-                    _mm_alignr_epi8(w[(t + 3) % 4], w[(t + 2) % 4], 4),
-                ),
-                w[(t + 3) % 4],
-            );
-            rounds4!(next, t);
-            w[t % 4] = next;
+            let [w0, w1, w2, w3] = w;
+            let mut next = [_mm_setzero_si128(); N];
+            for l in 0..N {
+                // W[4t..] = msg2(msg1(row t-4, row t-3) + W[4t-7..] (the
+                // alignr of rows t-2/t-1), row t-1).
+                next[l] = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(
+                        _mm_sha256msg1_epu32(w0[l], w1[l]),
+                        _mm_alignr_epi8(w3[l], w2[l], 4),
+                    ),
+                    w3[l],
+                );
+                rounds4!(l, next[l], t);
+            }
+            w = [w1, w2, w3, next];
         }
 
         // Feed-forward, then unpack (ABEF, CDGH) back to [a..h].
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4).cast(),
-            _mm_alignr_epi8(dchg, feba, 8),
-        );
+        for l in 0..N {
+            let feba = _mm_shuffle_epi32(_mm_add_epi32(abef[l], abef_in[l]), 0x1B);
+            let dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh[l], cdgh_in[l]), 0xB1);
+            let state = states[l].as_mut_ptr();
+            _mm_storeu_si128(state.cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+            _mm_storeu_si128(state.add(4).cast(), _mm_alignr_epi8(dchg, feba, 8));
+        }
     }
 }
 

@@ -12,9 +12,12 @@
 //! Three kernels implement [`Engine::compress_blocks`]:
 //!
 //! * **sha-ni** (`x86_64` only) — the dedicated SHA-256 instructions,
-//!   one block per call in a sequential loop over the batch. A single
-//!   hardware-assisted chain outruns eight software-vectorized ones,
-//!   so where detected this is also the fastest *batch* backend;
+//!   with the batch run through one interleaved kernel in groups of
+//!   4, then 2, then 1: the lanes advance round by round, so their
+//!   `sha256rnds2` chains overlap in the pipeline instead of each block
+//!   waiting out the previous one's latency. A hardware-assisted lane
+//!   outruns eight software-vectorized ones, so where detected this is
+//!   also the fastest *batch* backend;
 //! * **avx2** (`x86_64` only) — an explicit `std::arch` 8-wide
 //!   lockstep kernel behind `is_x86_feature_detected!` detection;
 //! * **portable** — plain `u32`-array lanes with fixed widths 8 and 4,
@@ -166,17 +169,33 @@ pub fn active() -> &'static Engine {
     })
 }
 
-/// SHA-NI dispatch target: the batch is a plain sequential loop over
-/// the single-stream kernel — the dedicated instructions retire a
-/// block faster than eight software-vectorized lanes amortize one, so
-/// no lockstep transposition pays for itself here.
+/// SHA-NI dispatch target: the batch runs through the interleaved
+/// kernel in groups of 4, then 2, then 1, so up to four independent
+/// `sha256rnds2` chains overlap in the pipeline instead of each block
+/// waiting out the previous one's round latency.
 #[cfg(target_arch = "x86_64")]
 fn compress_many_shani(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    for (state, block) in states.iter_mut().zip(blocks) {
-        // SAFETY: this function is only reachable through the `SHANI`
-        // engine, which `engines()` exposes only after
-        // `shani_detected()` confirmed the sha/ssse3/sse4.1 features.
-        unsafe { super::shani::compress_block(state, block) };
+    use super::shani::compress_interleaved;
+    let (mut states, mut blocks) = (states, blocks);
+    // SAFETY: this function is only reachable through the `SHANI`
+    // engine, which `engines()` exposes only after `shani_detected()`
+    // confirmed the sha/ssse3/sse4.1 features.
+    unsafe {
+        while states.len() >= 4 {
+            let (s, rest_s) = states.split_at_mut(4);
+            let (b, rest_b) = blocks.split_at(4);
+            compress_interleaved::<4>(s, b);
+            (states, blocks) = (rest_s, rest_b);
+        }
+        if states.len() >= 2 {
+            let (s, rest_s) = states.split_at_mut(2);
+            let (b, rest_b) = blocks.split_at(2);
+            compress_interleaved::<2>(s, b);
+            (states, blocks) = (rest_s, rest_b);
+        }
+        if !states.is_empty() {
+            compress_interleaved::<1>(states, blocks);
+        }
     }
 }
 
@@ -606,18 +625,40 @@ mod tests {
 
     #[test]
     fn compress_blocks_handles_any_batch_length() {
-        // 0..=20 covers the 8-wide, 4-wide, and scalar remainders of
-        // both kernels.
+        // 0..=20 covers the 8-wide, 4-wide, 2-wide and single-block
+        // remainders of every kernel.
         let block = [0x5Au8; 64];
+        let mut want = H0;
+        Sha256::compress_block(&mut want, &block);
         for engine in engines() {
             for n in 0..=20usize {
                 let mut states = vec![H0; n];
-                let blocks = vec![block; n];
-                engine.compress_blocks(&mut states, &blocks);
-                let mut want = H0;
-                Sha256::compress_block(&mut want, &block);
+                engine.compress_blocks(&mut states, &vec![block; n]);
                 for (i, s) in states.iter().enumerate() {
                     assert_eq!(*s, want, "{} n={n} lane={i}", engine.name());
+                }
+                // Identical lanes cannot tell a kernel that swaps or
+                // mixes lanes from a correct one: give every lane its
+                // own state and block and pin each pair to the scalar
+                // oracle.
+                let mut states: Vec<[u32; 8]> = (0..n)
+                    .map(|l| {
+                        let bytes = lane_bytes(1000 + l as u64, 32);
+                        std::array::from_fn(|i| {
+                            u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap())
+                        })
+                    })
+                    .collect();
+                let blocks: Vec<[u8; 64]> = (0..n)
+                    .map(|l| lane_bytes(2000 + l as u64, 64).try_into().unwrap())
+                    .collect();
+                let mut distinct = states.clone();
+                for (state, block) in distinct.iter_mut().zip(&blocks) {
+                    Sha256::compress_block_scalar(state, block);
+                }
+                engine.compress_blocks(&mut states, &blocks);
+                for (i, (got, want)) in states.iter().zip(&distinct).enumerate() {
+                    assert_eq!(got, want, "{} n={n} distinct lane={i}", engine.name());
                 }
             }
         }
